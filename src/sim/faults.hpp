@@ -28,9 +28,12 @@ enum class FaultKind {
   kSlowdown,
   /// Link degradation: from `time` until `until`, transfers on the directed
   /// link (src -> dst) take `factor` times as long and incur an extra
-  /// `delay_add` at start. For an in-flight transfer only the remaining
-  /// *wire* time is rescaled by `factor`: the startup-delay portion
-  /// (LatencyModel::comm_startup, already committed at dispatch) is exempt.
+  /// `delay_add` at start. At dispatch the factor scales the WHOLE transfer,
+  /// startup included (duration c * factor + delay_add), unlike a
+  /// NetworkTrace segment, which scales only the wire portion. For an
+  /// in-flight transfer only the remaining *wire* time is rescaled by the
+  /// change of factor: the startup-delay portion (LatencyModel::comm_startup,
+  /// already committed at dispatch) is exempt.
   kLinkDegrade,
   /// Churn join at `time`: device `joined` becomes available with symmetric
   /// links of `join_bandwidth` / `join_delay` to every existing device. A
@@ -120,10 +123,16 @@ struct FaultSimResult {
   bool completed() const noexcept { return stranded.empty(); }
 };
 
-/// Replays `p` under the fault plan with the same discrete-event execution
-/// model as simulate(). With an empty plan the result's schedule is bitwise
-/// identical to simulate()'s (including the noise draw order), so the fault
-/// path is a strict superset of the benign simulator. Throws like simulate().
+/// Replays `p` under the fault plan on simulate()'s discrete-event engine:
+/// every fault action is an engine event that fires after the simulation
+/// events of the same instant (in plan order, an event's start before its
+/// end). With an empty plan, or one holding only x1 slowdowns and x1 link
+/// degrades without delay_add, the result's schedule is bitwise identical to
+/// simulate()'s (including the noise draw order), so the fault path is a
+/// strict superset of the benign simulator. oracle_simulate_with_faults()
+/// (verify/oracle.hpp) is its bitwise reference. Throws like simulate(), and
+/// std::invalid_argument for a non-empty SimOptions::trace or for
+/// SimOptions::shared_links, which the fault path does not combine with.
 FaultSimResult simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
                                     const Placement& p, const LatencyModel& lat,
                                     const FaultPlan& plan, const SimOptions& opt = {});

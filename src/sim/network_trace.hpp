@@ -34,9 +34,13 @@ struct LinkSchedule {
 
 /// A piecewise-constant network condition trace: per-link schedules of
 /// bandwidth, delay, and drop probability. Consumed by simulate() /
-/// simulate_into() via SimOptions::trace; a transfer in flight when a segment
-/// boundary passes is split at the breakpoint and its remaining *wire* time
-/// rescaled, exactly the way kLinkDegrade rescales in-flight work.
+/// simulate_into() via SimOptions::trace. At dispatch a segment scales only
+/// the *wire* portion of a transfer (startup + delay_add + wire * factor);
+/// a kLinkDegrade fault instead scales the whole transfer, startup included.
+/// A transfer in flight when a segment boundary passes is split at the
+/// breakpoint and its remaining wire time rescaled, the same in-flight rule
+/// kLinkDegrade follows. Breakpoints act *before* simulation events of the
+/// same instant; fault actions act after them.
 ///
 /// An empty trace (no link has any segment) is bitwise-equivalent to passing
 /// no trace at all.

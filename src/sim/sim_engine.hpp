@@ -1,15 +1,20 @@
 #pragma once
 
-// Shared discrete-event core behind simulate_into() and simulate_delta().
-// Both entry points reconstruct a (possibly mid-run) simulator state into the
-// SimWorkspace, then drive this engine; having exactly one copy of the event
+// The one discrete-event core behind every simulator entry point:
+// simulate_into() / simulate() and simulate_streaming() run it through
+// simulate_core(), simulate_with_faults() adds its fault actions as engine
+// events, and simulate_delta() reconstructs a mid-run state into the
+// SimWorkspace and replays the suffix. Having exactly one copy of the event
 // semantics is what makes the incremental path bitwise-identical to the full
-// one by construction. Internal header: not part of the public API.
+// one, and the fault path a strict superset of simulate(), by construction.
+// Internal header: not part of the public API.
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 
+#include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 
 namespace giph::detail {
@@ -18,6 +23,7 @@ constexpr int kTaskDone = 0;
 constexpr int kTransferDone = 1;
 constexpr int kBreakpoint = 2;
 constexpr int kFrameArrival = 3;
+constexpr int kFaultAction = 4;
 
 /// Streaming context for simulate_core(): the graph being simulated is F
 /// frame-copies of a base graph (virtual task id = f * base_tasks + v, no
@@ -34,6 +40,17 @@ struct StreamPlan {
   /// kFrameArrival event per frame >= 1 is pushed at init (after trace
   /// breakpoints), so an arrival coinciding with a sim event pops first.
   const std::vector<double>* arrivals = nullptr;
+};
+
+/// Fault-injection context for simulate_core() (simulate_with_faults only).
+/// Plan event i becomes fault action 2i at its time and, when transient,
+/// action 2i + 1 at its `until`; both carry seqs above every simulation
+/// event, so they act after all simulation events of the same instant, in
+/// plan order. `result` receives the stranded and failed-device lists; its
+/// schedule is the engine's output.
+struct FaultRun {
+  const FaultPlan* plan = nullptr;
+  FaultSimResult* result = nullptr;
 };
 
 // Later events sort before earlier ones so heap operations keep the earliest
@@ -78,29 +95,58 @@ struct SimEngine {
   /// Streaming runs only (simulate_core with a plan); null otherwise, which
   /// keeps the 12-value aggregate initializers of the one-shot paths valid.
   const StreamPlan* stream = nullptr;
+  /// Fault runs only; null otherwise. Never combined with a trace or shared
+  /// links (simulate_with_faults rejects both).
+  const FaultRun* faults = nullptr;
 
   long seq = 0;
   int completed = 0;
   long runnable_rank = 0;
 
   void push_event(double time, int kind, int id, int version = 0) {
-    ws.heap.push_back(SimEvent{time, seq++, kind, id, version});
+    push_event_at(time, seq++, kind, id, version);
+  }
+
+  /// Pushes an event with an explicit seq instead of the next creation seq.
+  void push_event_at(double time, long at, int kind, int id, int version = 0) {
+    ws.heap.push_back(SimEvent{time, at, kind, id, version});
     std::push_heap(ws.heap.begin(), ws.heap.end(), EventLater{});
+  }
+
+  /// Trace and fault runs track per-edge versions so rescales retire events.
+  bool rescales_transfers() const noexcept {
+    return trace != nullptr || faults != nullptr;
+  }
+
+  /// The startup (delay) portion of a transfer's realized time `c`. Noise is
+  /// multiplicative, so it keeps the expected startup fraction de / ce.
+  double realized_startup(int e, int d, int dl, double c) const {
+    const double ce = lat.comm_time(g, n, e, d, dl);
+    const double de = lat.comm_startup(g, n, e, d, dl);
+    return ce > 0.0 ? de * (c / ce) : 0.0;
   }
 
   void start_task(int v, double t) {
     const int d = p.device_of(v);
     ++ws.running[d];
     out.tasks[v].start = t;
-    const double w = realize(lat.compute_time(g, n, v, d), opt);
+    double w = realize(lat.compute_time(g, n, v, d), opt);
+    int version = 0;
+    if (faults != nullptr) {
+      w *= ws.device_scale[d];  // a slowdown in force stretches the whole task
+      ws.task_finish_at[v] = t + w;
+      version = ws.task_version[v];
+    }
     if (rec != nullptr) rec->task_event_seq[v] = seq;
-    push_event(t + w, kTaskDone, v);
+    push_event(t + w, kTaskDone, v, version);
   }
 
   void make_runnable(int v, double t) {
     if (rec != nullptr) rec->runnable_order[v] = runnable_rank;
     ++runnable_rank;
     const int d = p.device_of(v);
+    // Inputs that reach a crashed or departed device strand the task.
+    if (faults != nullptr && ws.device_up[d] == 0) return;
     if (ws.running[d] < n.device(d).cores && ws.fifo[d].empty()) {
       start_task(v, t);
     } else {
@@ -117,6 +163,9 @@ struct SimEngine {
       heap.pop_back();
       if (ev.kind == kTaskDone) {
         const int v = ev.id;
+        if (faults != nullptr && ev.version != ws.task_version[v]) {
+          continue;  // stale: killed or rescaled
+        }
         out.tasks[v].finish = ev.time;
         ++completed;
         const int d = p.device_of(v);
@@ -138,14 +187,19 @@ struct SimEngine {
           const int tl =
               trace != nullptr ? ws.trace_link[static_cast<std::size_t>(d) * nd + dl]
                                : -1;
-          if (tl >= 0) {
+          if (faults != nullptr) {
+            // A link degrade in force at dispatch scales the WHOLE transfer,
+            // startup included, and adds its delay; the wire portion begins
+            // once that scaled startup is over.
+            const std::size_t pair = static_cast<std::size_t>(d) * nd + dl;
+            const double lf = ws.link_factor[pair];
+            const double ld = ws.link_delay[pair];
+            dur = c * lf + ld;
+            ws.edge_wire_begin[e] = start + realized_startup(e, d, dl, c) * lf + ld;
+          } else if (tl >= 0) {
             // Split the realized time into startup (delay) and wire (bandwidth)
             // portions; only the wire portion scales with the link conditions.
-            // Noise is multiplicative, so the realized startup keeps the
-            // expected startup fraction de / ce of the realized total.
-            const double ce = lat.comm_time(g, n, e, d, dl);
-            const double de = lat.comm_startup(g, n, e, d, dl);
-            const double dr = ce > 0.0 ? de * (c / ce) : 0.0;
+            const double dr = realized_startup(e, d, dl, c);
             const TraceSegment& seg = ws.trace_cur[tl];
             const double startup = dr + seg.delay_add;
             dur = startup + (c - dr) * ws.trace_factor[tl];
@@ -165,14 +219,14 @@ struct SimEngine {
               }
             }
           }
-          if (trace != nullptr) {
+          if (rescales_transfers()) {
             ws.edge_inflight[e] = 1;
             ws.edge_finish_at[e] = start + dur;
           }
           out.edge_start[e] = start;
           if (rec != nullptr) rec->edge_event_seq[e] = seq;
           push_event(start + dur, kTransferDone, e,
-                     trace != nullptr ? ws.edge_version[e] : 0);
+                     rescales_transfers() ? ws.edge_version[e] : 0);
         }
         --ws.running[d];
         if (!ws.fifo[d].empty() && ws.running[d] < n.device(d).cores) {
@@ -182,7 +236,7 @@ struct SimEngine {
         }
       } else if (ev.kind == kTransferDone) {
         const int e = ev.id;
-        if (trace != nullptr) {
+        if (rescales_transfers()) {
           if (ev.version != ws.edge_version[e]) continue;  // stale: rescaled
           ws.edge_inflight[e] = 0;
         }
@@ -194,6 +248,8 @@ struct SimEngine {
         // device queues (or start) in base entry order, like frame 0 at t = 0.
         const int base = ev.id * stream->base_tasks;
         for (const int v : *stream->entries) make_runnable(base + v, ev.time);
+      } else if (ev.kind == kFaultAction) {
+        apply_fault(ev.id, ev.time);
       } else {  // kBreakpoint
         const auto [li, si] = (*breakpoints)[ev.id];
         const TraceSegment& seg = trace->links[li].segments[si];
@@ -230,19 +286,40 @@ struct SimEngine {
     }
   }
 
-  /// Completion check, makespan, and the recorded-state epilogue.
+  /// Fault runs: sizes the fault state and pushes the plan's actions. Must
+  /// run before any task starts. Defined in faults.cpp.
+  void seed_faults();
+  /// Fault action `id` (see FaultRun) taking effect at `t`. Defined in
+  /// faults.cpp.
+  void apply_fault(int id, double t);
+
+  /// Completion check, makespan, and the recorded-state epilogue. A fault
+  /// run instead lists whatever did not finish (killed, queued on or bound
+  /// for a departed device, starved of an input) as stranded, spans the
+  /// makespan over the completed tasks only, and sorts the failed devices.
   void finalize(const char* caller) {
     const int nv = g.num_tasks();
-    if (completed != nv) {
+    if (faults == nullptr && completed != nv) {
       throw std::logic_error(std::string(caller) +
                              ": not all tasks completed (cyclic graph?)");
     }
-    double first_start = out.tasks[0].start, last_finish = out.tasks[0].finish;
-    for (const TaskTiming& t : out.tasks) {
+    double first_start = std::numeric_limits<double>::infinity();
+    double last_finish = -first_start;
+    for (int v = 0; v < nv; ++v) {
+      const TaskTiming& t = out.tasks[v];
+      if (t.finish < 0.0) {  // fault runs only: every other task finished
+        faults->result->stranded.push_back(v);
+        continue;
+      }
       first_start = std::min(first_start, t.start);
       last_finish = std::max(last_finish, t.finish);
     }
-    out.makespan = last_finish - first_start;
+    out.makespan = last_finish >= first_start ? last_finish - first_start : 0.0;
+    if (faults != nullptr) {
+      std::vector<int>& failed = faults->result->failed_devices;
+      std::sort(failed.begin(), failed.end());
+      return;
+    }
     if (rec != nullptr) {
       rec->total_seq = seq;
       rec->next_runnable_rank = runnable_rank;
@@ -256,15 +333,18 @@ struct SimEngine {
   }
 };
 
-/// The full init-run-finalize pipeline behind simulate_into() and
-/// simulate_streaming(): validates options, resets workspace buffers, seeds
-/// trace breakpoints / frame arrivals / entry tasks, and drives SimEngine.
-/// `plan == nullptr` is exactly simulate_into(); with a plan, `g` and `p`
-/// must be the frame-replicated instance the plan describes. `caller`
-/// prefixes every diagnostic.
+/// The full init-run-finalize pipeline behind simulate_into(),
+/// simulate_streaming() and simulate_with_faults(): validates options, resets
+/// workspace buffers, seeds trace breakpoints / frame arrivals / fault
+/// actions / entry tasks, and drives SimEngine. `plan == nullptr` and
+/// `faults == nullptr` is exactly simulate_into(); with a plan, `g` and `p`
+/// must be the frame-replicated instance the plan describes; with `faults`,
+/// `out` must be faults->result->schedule and `opt` must carry neither a
+/// trace nor shared links. `caller` prefixes every diagnostic.
 void simulate_core(const TaskGraph& g, const DeviceNetwork& n, const Placement& p,
                    const LatencyModel& lat, SimWorkspace& ws, Schedule& out,
                    const SimOptions& opt, DeltaSimState* record,
-                   const StreamPlan* plan, const char* caller);
+                   const StreamPlan* plan, const char* caller,
+                   const FaultRun* faults = nullptr);
 
 }  // namespace giph::detail

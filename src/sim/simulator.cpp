@@ -64,7 +64,7 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
                            const Placement& p, const LatencyModel& lat,
                            SimWorkspace& ws, Schedule& out, const SimOptions& opt,
                            DeltaSimState* record, const StreamPlan* plan,
-                           const char* caller) {
+                           const char* caller, const FaultRun* faults) {
   // Validate options first: noise without an engine would dereference null
   // inside the event loop, far from the caller's mistake.
   validate_sim_options(opt, caller);
@@ -121,7 +121,8 @@ void detail::simulate_core(const TaskGraph& g, const DeviceNetwork& n,
   if (shared != nullptr) ws.link_free.assign(shared->num_links, 0.0);
 
   detail::SimEngine eng{g,      n,      p,            lat,    ws, out, opt,
-                        trace,  shared, &breakpoints, record, nd, plan};
+                        trace,  shared, &breakpoints, record, nd, plan, faults};
+  if (faults != nullptr) eng.seed_faults();
 
   if (trace != nullptr) {
     const int nl = static_cast<int>(trace->links.size());

@@ -68,9 +68,11 @@ namespace detail {
 struct SimEvent {
   double time;
   long seq;     // creation order, breaks time ties deterministically
-  int kind;     // 0 = task done, 1 = transfer done, 2 = trace breakpoint
-  int id;       // task id, edge id, or breakpoint index
-  int version;  // transfer events only: stale when != the edge's version
+  int kind;     // 0 = task done, 1 = transfer done, 2 = trace breakpoint,
+                // 3 = frame arrival, 4 = fault action (sim_engine.hpp)
+  int id;       // task id, edge id, breakpoint index, frame, or fault action
+  int version;  // task / transfer events of rescalable runs: stale when !=
+                // the task's or edge's current version
 };
 
 }  // namespace detail
@@ -101,6 +103,14 @@ struct SimWorkspace {
   std::vector<double> edge_wire_begin;  ///< per edge: when wire time starts
   std::vector<double> edge_wire_factor; ///< per edge: factor baked into finish
   std::vector<char> edge_inflight;
+  // Fault-injection state, touched only by simulate_with_faults (which also
+  // uses the per-edge buffers above to rescale in-flight transfers).
+  std::vector<char> device_up;         ///< per device: not crashed or departed
+  std::vector<double> device_scale;    ///< per device: slowdown multiplier
+  std::vector<double> link_factor;     ///< per device pair: transfer multiplier
+  std::vector<double> link_delay;      ///< per device pair: extra transfer delay
+  std::vector<int> task_version;       ///< per task: invalidates stale events
+  std::vector<double> task_finish_at;  ///< per task: current predicted finish
 };
 
 /// Bookkeeping recorded by a full simulation (and kept current by delta

@@ -681,4 +681,273 @@ StreamResult oracle_simulate_streaming(const TaskGraph& g, const DeviceNetwork& 
   }
 }
 
+namespace {
+
+constexpr int kFaultEvent = 4;
+
+// Oracle pop order on the fault path: earliest time first; at one instant
+// every simulation event (in creation order) before every fault action (in
+// plan order, `order` = 2 * plan index + 1 for an end action).
+bool pops_before(const OracleEvent& a, const OracleEvent& b) {
+  if (a.time != b.time) return a.time < b.time;
+  const bool a_fault = a.kind == kFaultEvent;
+  const bool b_fault = b.kind == kFaultEvent;
+  if (a_fault != b_fault) return b_fault;
+  return a.order < b.order;
+}
+
+}  // namespace
+
+FaultSimResult oracle_simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
+                                           const Placement& p, const LatencyModel& lat,
+                                           const FaultPlan& plan,
+                                           const SimOptions& opt) {
+  validate_sim_options(opt, "oracle_simulate_with_faults");
+  if (opt.trace != nullptr && !opt.trace->empty()) {
+    throw std::invalid_argument(
+        "oracle_simulate_with_faults: NetworkTrace is not supported on the fault path");
+  }
+  if (opt.shared_links != nullptr) {
+    throw std::invalid_argument(
+        "oracle_simulate_with_faults: shared-link contention is not supported on the "
+        "fault path");
+  }
+  if (!placement_feasible(g, n, p)) {
+    throw std::invalid_argument("oracle_simulate_with_faults: infeasible placement");
+  }
+  if (!acyclic(g)) {
+    throw std::logic_error("oracle_simulate_with_faults: cyclic task graph");
+  }
+  validate_fault_plan(plan, n);
+
+  const int nv = g.num_tasks();
+  const int ne = g.num_edges();
+  const int nd = n.num_devices();
+
+  FaultSimResult r;
+  Schedule& out = r.schedule;
+  out.tasks.assign(nv, TaskTiming{-1.0, -1.0});
+  out.edge_start.assign(ne, -1.0);
+  out.edge_finish.assign(ne, -1.0);
+  out.makespan = 0.0;
+  if (nv == 0) return r;
+
+  std::vector<OracleEvent> pending;
+  long next_order = 0;
+  std::vector<std::vector<int>> waiting(nd);
+  std::vector<double> nic_busy_until(nd, 0.0);
+
+  // Conditions in force: departed devices, per-device duration multiplier,
+  // per directed device pair the whole-transfer multiplier and extra delay.
+  std::vector<char> departed(nd, 0);
+  std::vector<double> slowdown(nd, 1.0);
+  std::vector<std::vector<double>> link_mult(nd, std::vector<double>(nd, 1.0));
+  std::vector<std::vector<double>> link_extra(nd, std::vector<double>(nd, 0.0));
+  std::vector<double> wire_begin(ne, 0.0);
+
+  // Fault actions are listed up front; their ordering key is the plan
+  // position, independent of when they were created.
+  const auto on_base_network = [&](int d) { return d < nd; };
+  for (int i = 0; i < static_cast<int>(plan.events.size()); ++i) {
+    const FaultEvent& fe = plan.events[i];
+    if (fe.kind == FaultKind::kDeviceJoin) continue;
+    const bool targets_base = fe.kind == FaultKind::kLinkDegrade
+                                  ? on_base_network(fe.link_src) &&
+                                        on_base_network(fe.link_dst)
+                                  : on_base_network(fe.device);
+    if (!targets_base) continue;
+    pending.push_back(OracleEvent{fe.time, 2L * i, kFaultEvent, 2 * i});
+    if (fe.until != std::numeric_limits<double>::infinity()) {
+      pending.push_back(OracleEvent{fe.until, 2L * i + 1, kFaultEvent, 2 * i + 1});
+    }
+  }
+
+  auto tasks_running_on = [&](int d) {
+    int count = 0;
+    for (int v = 0; v < nv; ++v) {
+      if (p.device_of(v) == d && out.tasks[v].start >= 0.0 && out.tasks[v].finish < 0.0) {
+        ++count;
+      }
+    }
+    return count;
+  };
+
+  // Index of the pending simulation event of `kind` for `id`.
+  auto pending_slot = [&](int kind, int id) {
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i].kind == kind && pending[i].id == id) return i;
+    }
+    throw std::logic_error("oracle_simulate_with_faults: missing pending event");
+  };
+
+  // Replaces the pending completion at `slot` by a new one at `finish`,
+  // created now (it ties like any other freshly created event).
+  auto reschedule = [&](std::size_t slot, double finish) {
+    const OracleEvent moved{finish, next_order++, pending[slot].kind, pending[slot].id};
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(slot));
+    pending.push_back(moved);
+  };
+
+  auto begin_execution = [&](int v, double t) {
+    const int d = p.device_of(v);
+    out.tasks[v].start = t;
+    const double w = draw(lat.compute_time(g, n, v, d), opt) * slowdown[d];
+    pending.push_back(OracleEvent{t + w, next_order++, kTaskEvent, v});
+  };
+
+  auto on_runnable = [&](int v, double t) {
+    const int d = p.device_of(v);
+    if (departed[d]) return;  // its inputs reached a device that is gone
+    if (waiting[d].empty() && tasks_running_on(d) < n.device(d).cores) {
+      begin_execution(v, t);
+    } else {
+      waiting[d].push_back(v);
+    }
+  };
+
+  auto act = [&](const FaultEvent& fe, bool end, double t) {
+    switch (fe.kind) {
+      case FaultKind::kDeviceCrash:
+      case FaultKind::kDeviceLeave: {
+        const int d = fe.device;
+        if (departed[d]) return;
+        departed[d] = 1;
+        r.failed_devices.push_back(d);
+        waiting[d].clear();
+        if (fe.kind == FaultKind::kDeviceLeave) return;
+        for (int v = 0; v < nv; ++v) {
+          if (p.device_of(v) != d || out.tasks[v].start < 0.0 ||
+              out.tasks[v].finish >= 0.0) {
+            continue;
+          }
+          pending.erase(pending.begin() +
+                        static_cast<std::ptrdiff_t>(pending_slot(kTaskEvent, v)));
+          out.tasks[v].start = -1.0;  // killed: it never ran
+        }
+        return;
+      }
+      case FaultKind::kSlowdown: {
+        const int d = fe.device;
+        const double before = slowdown[d];
+        slowdown[d] = end ? before / fe.factor : before * fe.factor;
+        const double change = slowdown[d] / before;
+        if (change == 1.0) return;
+        for (int v = 0; v < nv; ++v) {
+          if (p.device_of(v) != d || out.tasks[v].start < 0.0 ||
+              out.tasks[v].finish >= 0.0) {
+            continue;
+          }
+          const std::size_t slot = pending_slot(kTaskEvent, v);
+          reschedule(slot, t + (pending[slot].time - t) * change);
+        }
+        return;
+      }
+      case FaultKind::kLinkDegrade: {
+        const int k = fe.link_src;
+        const int l = fe.link_dst;
+        const double before = link_mult[k][l];
+        link_mult[k][l] = end ? before / fe.factor : before * fe.factor;
+        link_extra[k][l] = end ? link_extra[k][l] - fe.delay_add
+                               : link_extra[k][l] + fe.delay_add;
+        const double change = link_mult[k][l] / before;
+        if (change == 1.0) return;
+        for (int e = 0; e < ne; ++e) {
+          if (out.edge_start[e] < 0.0 || out.edge_finish[e] >= 0.0) continue;
+          if (p.device_of(g.edge(e).src) != k || p.device_of(g.edge(e).dst) != l) {
+            continue;
+          }
+          const std::size_t slot = pending_slot(kTransferEvent, e);
+          const double anchor = std::max(t, wire_begin[e]);
+          const double wire_left = pending[slot].time - anchor;
+          if (wire_left <= 0.0) continue;
+          reschedule(slot, anchor + wire_left * change);
+        }
+        return;
+      }
+      case FaultKind::kDeviceJoin:
+        return;
+    }
+  };
+
+  for (int v = 0; v < nv; ++v) {
+    if (g.in_degree(v) == 0) on_runnable(v, 0.0);
+  }
+
+  while (!pending.empty()) {
+    std::size_t at = 0;
+    for (std::size_t i = 1; i < pending.size(); ++i) {
+      if (pops_before(pending[i], pending[at])) at = i;
+    }
+    const OracleEvent ev = pending[at];
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(at));
+
+    if (ev.kind == kFaultEvent) {
+      act(plan.events[static_cast<std::size_t>(ev.id / 2)], ev.id % 2 == 1, ev.time);
+    } else if (ev.kind == kTaskEvent) {
+      const int v = ev.id;
+      out.tasks[v].finish = ev.time;
+      const int d = p.device_of(v);
+      for (int e : g.out_edges(v)) {
+        const int dst_dev = p.device_of(g.edge(e).dst);
+        const double c = draw(lat.comm_time(g, n, e, d, dst_dev), opt);
+        double start = ev.time;
+        double dur = c;
+        if (dst_dev != d) {
+          if (opt.serialize_transfers) start = std::max(start, nic_busy_until[d]);
+          // The degrade in force at dispatch stretches the whole transfer,
+          // startup included; the wire part begins once the stretched
+          // startup (noise keeps the expected startup fraction) and the
+          // extra delay are over.
+          const double mult = link_mult[d][dst_dev];
+          const double extra = link_extra[d][dst_dev];
+          dur = c * mult + extra;
+          const double ce = lat.comm_time(g, n, e, d, dst_dev);
+          const double de = lat.comm_startup(g, n, e, d, dst_dev);
+          const double startup = ce > 0.0 ? de * (c / ce) : 0.0;
+          wire_begin[e] = start + startup * mult + extra;
+          if (opt.serialize_transfers) nic_busy_until[d] = start + dur;
+        }
+        out.edge_start[e] = start;
+        pending.push_back(OracleEvent{start + dur, next_order++, kTransferEvent, e});
+      }
+      if (!waiting[d].empty() && tasks_running_on(d) < n.device(d).cores) {
+        const int next = waiting[d].front();
+        waiting[d].erase(waiting[d].begin());
+        begin_execution(next, ev.time);
+      }
+    } else {  // kTransferEvent
+      const int e = ev.id;
+      out.edge_finish[e] = ev.time;
+      const int child = g.edge(e).dst;
+      bool all_arrived = true;
+      for (int in_e : g.in_edges(child)) {
+        if (out.edge_finish[in_e] < 0.0) {
+          all_arrived = false;
+          break;
+        }
+      }
+      if (all_arrived) on_runnable(child, ev.time);
+    }
+  }
+
+  bool any_completed = false;
+  double first_start = 0.0, last_finish = 0.0;
+  for (int v = 0; v < nv; ++v) {
+    const TaskTiming& t = out.tasks[v];
+    if (t.finish < 0.0) {
+      r.stranded.push_back(v);
+    } else if (!any_completed) {
+      any_completed = true;
+      first_start = t.start;
+      last_finish = t.finish;
+    } else {
+      first_start = std::min(first_start, t.start);
+      last_finish = std::max(last_finish, t.finish);
+    }
+  }
+  out.makespan = any_completed ? last_finish - first_start : 0.0;
+  std::sort(r.failed_devices.begin(), r.failed_devices.end());
+  return r;
+}
+
 }  // namespace giph

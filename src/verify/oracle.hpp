@@ -1,5 +1,6 @@
 #pragma once
 
+#include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stream.hpp"
 
@@ -63,5 +64,35 @@ Schedule oracle_simulate(const TaskGraph& g, const DeviceNetwork& n, const Place
 StreamResult oracle_simulate_streaming(const TaskGraph& g, const DeviceNetwork& n,
                                        const Placement& p, const LatencyModel& lat,
                                        const StreamOptions& opt = {});
+
+/// Reference fault-injection simulator: oracle_simulate's flat event list
+/// extended with the fault actions documented in sim/faults.hpp, independent
+/// of simulate_with_faults(). The plan is interpreted from first principles:
+///   - joins, and events naming a device the base network does not have, do
+///     not touch a fixed placement; every other event becomes a start action
+///     at `time` and, when transient, an end action at `until`;
+///   - fault actions take effect after every simulation event of the same
+///     instant (a task finishing exactly at crash time completes), among
+///     themselves in plan order, an event's start before its end;
+///   - a crash kills the device's running tasks and drops its queue; a leave
+///     drops only the queue; either way a task whose inputs later arrive at
+///     the departed device never runs;
+///   - a slowdown multiplies the durations of tasks started on the device
+///     and rescales the remaining work of its running tasks (ascending task
+///     id) by the change of its multiplier;
+///   - a link degrade scales a transfer *whole* at dispatch (duration
+///     c * factor + delay_add, startup included) but rescales an in-flight
+///     transfer's remaining *wire* time only (ascending edge id), anchored at
+///     the later of now and its wire begin;
+///   - a change of multiplier by exactly 1 touches no pending completion;
+///   - stranded = unfinished tasks ascending, makespan over completed tasks
+///     (0 when none did), failed devices ascending.
+/// Output is bitwise identical to simulate_with_faults() for every input,
+/// including the noise draw sequence; throws like it (traces and shared
+/// links are rejected).
+FaultSimResult oracle_simulate_with_faults(const TaskGraph& g, const DeviceNetwork& n,
+                                           const Placement& p, const LatencyModel& lat,
+                                           const FaultPlan& plan,
+                                           const SimOptions& opt = {});
 
 }  // namespace giph

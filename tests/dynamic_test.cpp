@@ -6,6 +6,7 @@
 
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "baselines/random_policies.hpp"
 #include "casestudy/churn.hpp"
@@ -264,20 +265,31 @@ TEST(SharedLinks, EmptyMapReducesBitwiseAndSizeIsChecked) {
 // Fault-path guards
 
 TEST(Faults, RejectsTraceAndSharedLinks) {
+  // The message names the unsupported option and the fault-path alternative.
+  const auto rejection = [](const SimOptions& opt) -> std::string {
+    try {
+      simulate_with_faults(chain3(), two_devices(), alternating3(), kLat, FaultPlan{},
+                           opt);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
   NetworkTrace trace;
   trace.link(0, 1).segments.push_back({1.0, 0.5, 0.0, 0.0});
   SimOptions opt;
   opt.trace = &trace;
-  EXPECT_THROW(simulate_with_faults(chain3(), two_devices(), alternating3(), kLat,
-                                    FaultPlan{}, opt),
-               std::invalid_argument);
+  EXPECT_EQ(rejection(opt),
+            "simulate_with_faults: NetworkTrace is not supported on the fault path; "
+            "encode time-varying link conditions as kLinkDegrade events instead");
 
   const SharedLinkMap map = build_shared_link_map(2, {{0, 1, 2.0, 1.0, true}});
   SimOptions opt2;
   opt2.shared_links = &map;
-  EXPECT_THROW(simulate_with_faults(chain3(), two_devices(), alternating3(), kLat,
-                                    FaultPlan{}, opt2),
-               std::invalid_argument);
+  EXPECT_EQ(rejection(opt2),
+            "simulate_with_faults: shared-link contention is not supported on the "
+            "fault path; project the topology with apply_topology and use per-link "
+            "kLinkDegrade events instead");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gen/device_network_gen.hpp"
 #include "gen/task_graph_gen.hpp"
 #include "testutil.hpp"
@@ -37,6 +39,49 @@ TEST(Faults, EmptyPlanReducesToSimulateUnderNoise) {
       simulate_with_faults(g, n, p, kLat, FaultPlan{}, SimOptions{0.3, &rng_b});
   ASSERT_TRUE(r.completed());
   expect_schedules_bitwise_equal(r.schedule, expected);
+}
+
+TEST(Faults, FactorOnePlansReduceToSimulate) {
+  // A x1 slowdown or link degrade changes nothing, so it must leave every
+  // pending completion untouched: re-pushing t + (finish - t) * 1 can land an
+  // ulp away from finish. Seed 18 (30 tasks x 5 devices) is a case where a
+  // x1 slowdown just after task 7 starts used to move task 20's finish.
+  for (const std::uint64_t seed : {18u, 3u, 41u, 77u}) {
+    const auto [g, n, p] = testutil::random_case(seed, 30, 5);
+    const Schedule expected = simulate(g, n, p, kLat);
+    auto expect_noop = [&](const FaultEvent& e) {
+      FaultPlan plan;
+      plan.events.push_back(e);
+      const FaultSimResult r = simulate_with_faults(g, n, p, kLat, plan);
+      ASSERT_TRUE(r.completed()) << describe(e);
+      SCOPED_TRACE(describe(e));
+      expect_schedules_bitwise_equal(r.schedule, expected);
+    };
+    for (int v = 0; v < g.num_tasks(); ++v) {
+      const TaskTiming& t = expected.tasks[v];
+      const double just_after = std::nextafter(t.start, t.finish);
+      for (const double at : {just_after, 0.5 * (t.start + t.finish)}) {
+        expect_noop(FaultEvent{.kind = FaultKind::kSlowdown, .time = at,
+                               .device = p.device_of(v), .factor = 1.0});
+        expect_noop(FaultEvent{.kind = FaultKind::kSlowdown, .time = at,
+                               .device = p.device_of(v), .factor = 1.0,
+                               .until = t.finish - 0.25 * (t.finish - at)});
+      }
+    }
+    for (int e = 0; e < g.num_edges(); ++e) {
+      const int src = p.device_of(g.edge(e).src);
+      const int dst = p.device_of(g.edge(e).dst);
+      if (src == dst) continue;
+      const double s = expected.edge_start[e], f = expected.edge_finish[e];
+      for (const double at : {std::nextafter(s, f), 0.5 * (s + f)}) {
+        expect_noop(FaultEvent{.kind = FaultKind::kLinkDegrade, .time = at,
+                               .link_src = src, .link_dst = dst, .factor = 1.0});
+        expect_noop(FaultEvent{.kind = FaultKind::kLinkDegrade, .time = at,
+                               .link_src = src, .link_dst = dst, .factor = 1.0,
+                               .until = f - 0.25 * (f - at)});
+      }
+    }
+  }
 }
 
 TEST(Faults, DeterministicAcrossRuns) {

@@ -2,11 +2,14 @@
 // a hand-checkable (graph, network, placement) triple in the repo's v1 text
 // formats plus the exact expected task/edge start/finish times. The simulator
 // and the reference oracle must both reproduce every number bitwise; the
-// invariant checker must accept the result. A change in any of these numbers
+// invariant checker must accept the result. Fault cases run through
+// simulate_with_faults and its oracle, which must also reproduce the stranded
+// and failed-device lists. A change in any of these numbers
 // is a semantic change to the cost model and must be deliberate.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -17,6 +20,7 @@
 
 #include "graph/serialization.hpp"
 #include "graph/topology.hpp"
+#include "sim/faults.hpp"
 #include "sim/latency_model.hpp"
 #include "sim/network_trace.hpp"
 #include "sim/simulator.hpp"
@@ -58,7 +62,16 @@ struct GoldenCase {
   bool has_stream = false;
   int stream_frames = 1;
   double stream_interval = 0.0;
-  bool stream_serialize = false;
+  // Set by a "stream v1" or "faults v1" block.
+  bool serialize = false;
+  // Optional "faults v1" block ("serialize spec", then the expected stranded
+  // and failed-device lists, each as "count ids..."): the case is a
+  // simulate_with_faults run of the parse_fault_plan spec, and the expected
+  // block holds its schedule (-1 for whatever never ran or never dispatched).
+  bool has_faults = false;
+  FaultPlan faults;
+  std::vector<int> expected_stranded;
+  std::vector<int> expected_failed;
 
   /// The placement the expected schedule corresponds to (post-move when a
   /// delta-move block is present).
@@ -72,7 +85,7 @@ struct GoldenCase {
     SimOptions opt;
     if (has_trace) opt.trace = &trace;
     if (has_shared) opt.shared_links = &shared;
-    opt.serialize_transfers = stream_serialize;
+    opt.serialize_transfers = serialize;
     return opt;
   }
 
@@ -103,7 +116,9 @@ struct GoldenCase {
 //                    the projection);
 //   loss v1          <num entries>, per entry "src dst drop_prob";
 //   delta-move v1    "task device": the expected block is the post-move
-//                    schedule, reached from the base placement incrementally.
+//                    schedule, reached from the base placement incrementally;
+//   stream v1        "frames interval serialize";
+//   faults v1        "serialize spec", "count stranded...", "count failed...".
 GoldenCase load_golden(const std::filesystem::path& path) {
   std::ifstream file(path);
   if (!file) throw std::runtime_error("cannot open golden case: " + path.string());
@@ -137,8 +152,25 @@ GoldenCase load_golden(const std::filesystem::path& path) {
       c.has_stream = true;
       int serialize = 0;
       clean >> c.stream_frames >> c.stream_interval >> serialize;
-      c.stream_serialize = serialize != 0;
+      c.serialize = serialize != 0;
       if (!clean) throw std::runtime_error(c.name + ": truncated 'stream' block");
+      clean >> kind >> version;
+      continue;
+    }
+    if (kind == "faults") {
+      c.has_faults = true;
+      int serialize = 0;
+      std::string spec;
+      clean >> serialize >> spec;
+      c.serialize = serialize != 0;
+      c.faults = parse_fault_plan(spec);
+      for (std::vector<int>* ids : {&c.expected_stranded, &c.expected_failed}) {
+        int count = 0;
+        clean >> count;
+        ids->resize(count > 0 ? count : 0);
+        for (int& id : *ids) clean >> id;
+      }
+      if (!clean) throw std::runtime_error(c.name + ": truncated 'faults' block");
       clean >> kind >> version;
       continue;
     }
@@ -233,8 +265,14 @@ void expect_matches(const GoldenCase& c, const Schedule& got, const char* which)
   EXPECT_EQ(got.makespan, c.expected.makespan) << c.name << " " << which << " makespan";
 }
 
+void expect_matches(const GoldenCase& c, const FaultSimResult& got, const char* which) {
+  expect_matches(c, got.schedule, which);
+  EXPECT_EQ(got.stranded, c.expected_stranded) << c.name << " " << which << " stranded";
+  EXPECT_EQ(got.failed_devices, c.expected_failed) << c.name << " " << which << " failed";
+}
+
 TEST(GoldenSchedules, CorpusIsNonTrivial) {
-  EXPECT_GE(golden_files().size(), 18u);
+  EXPECT_GE(golden_files().size(), 22u);
 }
 
 TEST(GoldenSchedules, SimulatorReproducesEveryCase) {
@@ -245,6 +283,11 @@ TEST(GoldenSchedules, SimulatorReproducesEveryCase) {
       const StreamResult r = simulate_streaming(c.graph, c.network, c.final_placement(),
                                                 *lat, c.stream_options());
       expect_matches(c, r.schedule, "simulate_streaming");
+    } else if (c.has_faults) {
+      expect_matches(c,
+                     simulate_with_faults(c.graph, c.network, c.final_placement(), *lat,
+                                          c.faults, c.sim_options()),
+                     "simulate_with_faults");
     } else {
       expect_matches(
           c, simulate(c.graph, c.network, c.final_placement(), *lat, c.sim_options()),
@@ -261,6 +304,11 @@ TEST(GoldenSchedules, OracleReproducesEveryCase) {
       const StreamResult r = oracle_simulate_streaming(
           c.graph, c.network, c.final_placement(), *lat, c.stream_options());
       expect_matches(c, r.schedule, "streaming oracle");
+    } else if (c.has_faults) {
+      expect_matches(c,
+                     oracle_simulate_with_faults(c.graph, c.network, c.final_placement(),
+                                                 *lat, c.faults, c.sim_options()),
+                     "fault oracle");
     } else {
       expect_matches(
           c,
@@ -284,6 +332,16 @@ TEST(GoldenSchedules, InvariantCheckerAcceptsEveryCase) {
       continue;
     }
     const SimOptions opt = c.sim_options();
+    if (c.has_faults) {
+      const FaultSimResult r =
+          simulate_with_faults(c.graph, c.network, p, *lat, c.faults, opt);
+      CheckOptions check;
+      check.serialize_transfers = opt.serialize_transfers;
+      const InvariantReport rep =
+          check_fault_result(c.graph, c.network, p, *lat, r, check);
+      EXPECT_TRUE(rep.ok()) << c.name << ":\n" << rep.summary();
+      continue;
+    }
     const Schedule s = simulate(c.graph, c.network, p, *lat, opt);
     CheckOptions check;
     check.trace = opt.trace;
@@ -302,7 +360,7 @@ TEST(GoldenSchedules, StreamingCasesCoverCrossFrameContention) {
     const GoldenCase c = load_golden(path);
     if (!c.has_stream) continue;
     ++seen;
-    serialized += c.stream_serialize ? 1 : 0;
+    serialized += c.serialize ? 1 : 0;
     shared += c.has_shared ? 1 : 0;
     ASSERT_GE(c.stream_frames, 2) << c.name << ": streaming case must pipeline";
     const auto lat = c.latency();
@@ -326,6 +384,30 @@ TEST(GoldenSchedules, StreamingCasesCoverCrossFrameContention) {
   EXPECT_GE(seen, 3);
   EXPECT_GE(serialized, 1) << "need a NIC-serialized streaming case";
   EXPECT_GE(shared, 1) << "need a shared-link streaming case";
+}
+
+TEST(GoldenSchedules, FaultCasesCoverEveryDeviceAndLinkFault) {
+  // The corpus must keep its hand-derived fault cases: a crash at a finish
+  // instant, a graceful leave stranding queued work, a transient slowdown,
+  // and a link degrade over NIC-serialized transfers.
+  int seen = 0, crashes = 0, leaves = 0, transient_slowdowns = 0;
+  int serialized_degrades = 0;
+  for (const auto& path : golden_files()) {
+    const GoldenCase c = load_golden(path);
+    if (!c.has_faults) continue;
+    ++seen;
+    for (const FaultEvent& e : c.faults.events) {
+      crashes += e.kind == FaultKind::kDeviceCrash ? 1 : 0;
+      leaves += e.kind == FaultKind::kDeviceLeave ? 1 : 0;
+      if (e.kind == FaultKind::kSlowdown && std::isfinite(e.until)) ++transient_slowdowns;
+      if (e.kind == FaultKind::kLinkDegrade && c.serialize) ++serialized_degrades;
+    }
+  }
+  EXPECT_GE(seen, 4);
+  EXPECT_GE(crashes, 1);
+  EXPECT_GE(leaves, 1);
+  EXPECT_GE(transient_slowdowns, 1);
+  EXPECT_GE(serialized_degrades, 1);
 }
 
 TEST(GoldenSchedules, DeltaMoveCasesReplayIncrementallyAndBitwise) {

@@ -11,11 +11,14 @@
 //     independent oracle_simulate() agree bitwise on every time;
 //   - check_schedule() finds no invariant violation;
 //   - simulate_with_faults() with an empty plan reduces bitwise to
-//     simulate(), and with a generated plan is replay-deterministic and
-//     passes the fault-aware invariant check;
+//     simulate(); with a generated plan it agrees bitwise with the
+//     independent oracle_simulate_with_faults() (schedule, stranded and
+//     failed-device lists), is replay-deterministic, and passes the
+//     fault-aware invariant check;
 //   - on a sampled subset, the inactive-config reductions: an empty
-//     NetworkTrace and a zero-drop LossAwareLatencyModel must leave the
-//     output bitwise identical to the plain run.
+//     NetworkTrace, a zero-drop LossAwareLatencyModel, a shared-link map
+//     with no links, and a fault plan holding one x1 slowdown or link
+//     degrade must leave the output bitwise identical to the plain run.
 //
 // Fault cases never carry a trace or shared links (simulate_with_faults
 // rejects the combination by design); lossy links compose with everything.
@@ -300,7 +303,8 @@ std::string diff_schedules(const Schedule& a, const Schedule& b, const char* wha
 
 /// The inactive-config reductions: configurations that encode "no dynamics"
 /// explicitly (an empty trace, a zero-drop loss model, a shared map with no
-/// physical links) must leave the output bitwise identical to the plain run.
+/// physical links, a x1 slowdown or link degrade) must leave the output
+/// bitwise identical to the plain run.
 std::string check_reductions(const FuzzCase& c) {
   SimOptions base;
   base.noise = c.noise;
@@ -330,7 +334,37 @@ std::string check_reductions(const FuzzCase& c) {
   if (auto d = diff_schedules(plain, ns, "no-links shared reduction"); !d.empty()) {
     return d;
   }
-  return "";
+
+  // One x1 fault landing while a random task runs on its device (or a
+  // random remote transfer is on its link), drawn from a stream of its own
+  // so the case itself is unchanged.
+  std::mt19937_64 pick(mix(c.sim_seed));
+  FaultEvent x1;
+  const int ne = c.graph.num_edges();
+  const int e = uniform_int(pick, 0, std::max(0, ne - 1));
+  const int src = ne > 0 ? c.placement.device_of(c.graph.edge(e).src) : 0;
+  const int dst = ne > 0 ? c.placement.device_of(c.graph.edge(e).dst) : 0;
+  if (src != dst && uniform(pick, 0.0, 1.0) < 0.5) {
+    x1.kind = FaultKind::kLinkDegrade;
+    x1.link_src = src;
+    x1.link_dst = dst;
+    x1.time = uniform(pick, plain.edge_start[e], plain.edge_finish[e]);
+  } else {
+    const int v = uniform_int(pick, 0, c.graph.num_tasks() - 1);
+    x1.kind = FaultKind::kSlowdown;
+    x1.device = c.placement.device_of(v);
+    x1.time = uniform(pick, plain.tasks[v].start, plain.tasks[v].finish);
+  }
+  if (uniform(pick, 0.0, 1.0) < 0.5) {
+    x1.until = x1.time + uniform(pick, 0.0, plain.makespan);
+  }
+  std::mt19937_64 r4(c.sim_seed);
+  base.rng = &r4;
+  const FaultSimResult fr =
+      simulate_with_faults(c.graph, c.network, c.placement, kLat, FaultPlan{{x1}}, base);
+  if (!fr.completed()) return "x1 fault reduction stranded tasks";
+  const std::string what = "x1 fault reduction, " + describe(x1);
+  return diff_schedules(plain, fr.schedule, what.c_str());
 }
 
 /// --delta: a chain of random one-task moves re-simulated incrementally must
@@ -430,13 +464,22 @@ std::string run_case(const FuzzCase& c, SimWorkspace& ws, Schedule& reused) {
     return "";
   }
 
-  // Fault cases: replay determinism plus fault-aware invariants.
+  // Fault cases: the oracle, replay determinism, and fault-aware invariants.
   opt.rng = &rng_a;
   const FaultSimResult r1 =
       simulate_with_faults(c.graph, c.network, c.placement, lat, c.plan, opt);
   opt.rng = &rng_b;
   const FaultSimResult r2 =
       simulate_with_faults(c.graph, c.network, c.placement, lat, c.plan, opt);
+  opt.rng = &rng_c;
+  const FaultSimResult ref =
+      oracle_simulate_with_faults(c.graph, c.network, c.placement, lat, c.plan, opt);
+  if (auto d = diff_schedules(r1.schedule, ref.schedule, "fault oracle"); !d.empty()) {
+    return d;
+  }
+  if (r1.stranded != ref.stranded || r1.failed_devices != ref.failed_devices) {
+    return "fault oracle: stranded/failed lists differ";
+  }
   if (auto d = diff_schedules(r1.schedule, r2.schedule, "fault replay"); !d.empty()) {
     return d;
   }
@@ -1255,7 +1298,8 @@ int main(int argc, char** argv) {
   std::printf(
       "giph_fuzz: %llu cases ok (seed %llu, %llu noisy, %llu with fault plans, "
       "%llu traced, %llu shared-topology, %llu lossy): "
-      "simulate == simulate_into == oracle, all invariants hold\n",
+      "simulate == simulate_into == oracle, faults == fault oracle, "
+      "all invariants hold\n",
       static_cast<unsigned long long>(cases), static_cast<unsigned long long>(seed),
       static_cast<unsigned long long>(noisy_cases),
       static_cast<unsigned long long>(fault_cases),
