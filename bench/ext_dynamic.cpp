@@ -8,10 +8,7 @@
 //  2. churn     - evaluate_churn over a mobility-driven script: epochs/sec,
 //                 plus the determinism contract checked twice - the same seed
 //                 run twice must match bitwise, and a 4-thread run must match
-//                 the serial one bitwise.
-//
-// Results go to BENCH_dynamic.json in the working directory; CI gates the
-// *_per_sec keys and the bitwise flag against the committed baseline.
+//                 the serial one bitwise (the exit code fails otherwise).
 
 #include <chrono>
 #include <cstdio>
@@ -147,28 +144,6 @@ int main() {
   std::printf("%-32s %14s\n", "bitwise identical (rerun, 4 thr)", bitwise ? "yes" : "NO");
   std::printf("\n%s\n", eval::format_churn_report(serial).c_str());
 
-  std::FILE* f = std::fopen("BENCH_dynamic.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"case\": {\"tasks\": %d, \"devices\": %d, \"physical_links\": %zu},\n"
-                 "  \"plain_sims_per_sec\": %.1f,\n"
-                 "  \"dynamic_sims_per_sec\": %.1f,\n"
-                 "  \"dynamic_overhead\": %.3f,\n"
-                 "  \"churn\": {\n"
-                 "    \"tasks\": %d,\n"
-                 "    \"epochs\": %d,\n"
-                 "    \"rows\": %zu,\n"
-                 "    \"epoch_rows_per_sec\": %.1f,\n"
-                 "    \"bitwise_identical\": %s\n"
-                 "  }\n"
-                 "}\n",
-                 g.num_tasks(), nd, phys.size(), plain_sps, dyn_sps,
-                 plain_sps / dyn_sps - 1.0, churn_g.num_tasks(), serial.num_epochs,
-                 serial.rows.size(), epochs_per_sec, bitwise ? "true" : "false");
-    std::fclose(f);
-    std::printf("wrote BENCH_dynamic.json\n");
-  }
   if (guard < 0.0) std::printf("guard %f\n", guard);
   return bitwise ? 0 : 1;
 }

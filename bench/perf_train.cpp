@@ -4,13 +4,11 @@
 // per-episode stats and the final parameters are bitwise identical, the
 // trainer's determinism contract (reinforce.hpp).
 //
-// Results go to BENCH_train.json in the working directory. Parallel
-// throughput is gated *within-run* by the speedup ratio, which is
-// machine-shape-independent: >= 2x on 8+-thread hardware (the ISSUE target),
-// >= 1.3x on 4-7 threads (GitHub's standard runners have 4 vCPUs),
-// informational below that. The bitwise check is enforced everywhere. CI
-// additionally gates the sequential episodes/sec against the committed
-// baseline via tools/ci/check_bench.py.
+// The exit code gates the parallel path within the run, by the speedup
+// ratio, which does not depend on the machine's shape: >= 2x on 8+-thread
+// hardware, >= 1.3x on 4-7 threads, informational below that. The bitwise
+// check is enforced everywhere. Single-thread training throughput is
+// measured by perfbench's `train` workload.
 
 #include <chrono>
 #include <cstdio>
@@ -120,22 +118,5 @@ int main() {
                 speedup_floor, threads);
   }
 
-  std::FILE* f = std::fopen("BENCH_train.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"case\": {\"tasks\": %d, \"devices\": %d, \"episodes\": %d,"
-                 " \"batch_episodes\": %d},\n"
-                 "  \"hardware_threads\": %d,\n"
-                 "  \"sequential_episodes_per_sec\": %.3f,\n"
-                 "  \"parallel_episodes_per_sec\": %.3f,\n"
-                 "  \"speedup\": %.3f,\n"
-                 "  \"bitwise_identical\": %s\n"
-                 "}\n",
-                 gp.num_tasks, np.num_devices, topt.episodes, topt.batch_episodes,
-                 threads, seq_eps, par_eps, speedup, bitwise ? "true" : "false");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_train.json\n");
-  }
   return bitwise && (speedup_floor == 0.0 || speedup >= speedup_floor) ? 0 : 1;
 }

@@ -19,8 +19,7 @@ using InstanceSampler = std::function<ProblemInstance(std::mt19937_64&)>;
 /// Builds the per-episode objective for an instance (rng available for noisy
 /// objectives). Null = makespan (with TrainOptions::noise applied). The
 /// objective is schedule-aware: it receives the environment's noise-free
-/// schedule per evaluation; wrap a legacy (g, n, p) functor with
-/// schedule_objective() if needed.
+/// schedule per evaluation (an objective that needs none ignores it).
 using ObjectiveFactory = std::function<ScheduleObjective(
     const TaskGraph&, const DeviceNetwork&, std::mt19937_64&)>;
 

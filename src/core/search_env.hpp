@@ -34,13 +34,6 @@ class PlacementSearchEnv {
                      ScheduleObjective objective, Placement initial,
                      double normalizer = 0.0);
 
-  /// Legacy-objective convenience: the (g, n, p) functor is adapted to the
-  /// schedule-aware signature (it keeps whatever simulation cost it carries).
-  PlacementSearchEnv(const TaskGraph& g, const DeviceNetwork& n, const LatencyModel& lat,
-                     Objective objective, Placement initial, double normalizer = 0.0)
-      : PlacementSearchEnv(g, n, lat, schedule_objective(std::move(objective)),
-                           std::move(initial), normalizer) {}
-
   const TaskGraph& graph() const noexcept { return *g_; }
   const DeviceNetwork& network() const noexcept { return *n_; }
   const LatencyModel& latency() const noexcept { return *lat_; }
@@ -77,10 +70,6 @@ class PlacementSearchEnv {
 
   /// apply() calls whose simulate_delta fell back to a full simulation.
   std::uint64_t delta_fallbacks() const noexcept { return delta_fallbacks_; }
-
-  /// Tuning knob forwarded to simulate_delta (see
-  /// DeltaSimState::min_prefix_fraction); mainly for tests and benchmarks.
-  void set_delta_min_prefix_fraction(double f) { delta_.min_prefix_fraction = f; }
 
   const Placement& best_placement() const noexcept { return best_; }
   double best_objective() const noexcept { return best_obj_; }

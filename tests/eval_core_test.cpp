@@ -98,32 +98,6 @@ TEST(ScheduleIndexQuery, MatchesUnindexedEstExactly) {
   }
 }
 
-TEST(ScheduleAwareObjective, SearchMatchesLegacyObjectiveExactly) {
-  const Dataset ds = varied_dataset(24);
-  const TaskGraph& g = ds.graphs[1];
-  const DeviceNetwork& n = ds.networks[0];
-  std::mt19937_64 prng(41);
-  const Placement init = random_placement(g, n, prng);
-  const double denom = slr_denominator(g, n, kLat);
-
-  // Legacy 3-arg objective (re-simulates internally) vs the schedule-aware
-  // factory: identical values, hence identical search trajectories.
-  const Objective legacy = [](const TaskGraph& gg, const DeviceNetwork& nn,
-                              const Placement& pp) {
-    return makespan(gg, nn, pp, kLat);
-  };
-  PlacementSearchEnv legacy_env(g, n, kLat, legacy, init, denom);
-  PlacementSearchEnv env(g, n, kLat, makespan_objective(kLat), init, denom);
-  EXPECT_EQ(env.objective(), legacy_env.objective());
-
-  RandomWalkPolicy policy;
-  std::mt19937_64 ra(55), rb(55);
-  const SearchTrace ta = run_search(policy, legacy_env, 2 * g.num_tasks(), ra);
-  const SearchTrace tb = run_search(policy, env, 2 * g.num_tasks(), rb);
-  EXPECT_EQ(ta.initial, tb.initial);
-  EXPECT_EQ(ta.best_so_far, tb.best_so_far);
-}
-
 TEST(SearchEnvSimCount, ExactlyOneSimulationPerStep) {
   const Dataset ds = varied_dataset(25);
   const TaskGraph& g = ds.graphs[0];

@@ -14,6 +14,7 @@
 #include "gen/device_network_gen.hpp"
 #include "gen/grouping.hpp"
 #include "gen/task_graph_gen.hpp"
+#include "graph/topology.hpp"
 #include "sim/schedule_index.hpp"
 #include "sim/simulator.hpp"
 #include "util/parallel_for.hpp"
@@ -70,6 +71,17 @@ void expect_valid_partition(const TaskGraph& g, const GraphPartition& part) {
               1e-9 * std::max(1.0, g.total_compute()));
   EXPECT_NEAR(part.coarse.total_bytes() + part.internal_bytes, g.total_bytes(),
               1e-9 * std::max(1.0, g.total_bytes()));
+}
+
+void expect_gpnets_identical(const GpNet& sparse, const GpNet& dense) {
+  EXPECT_EQ(sparse.node_task, dense.node_task);
+  EXPECT_EQ(sparse.node_device, dense.node_device);
+  EXPECT_EQ(sparse.is_pivot, dense.is_pivot);
+  EXPECT_EQ(sparse.options, dense.options);
+  EXPECT_EQ(sparse.pivot_of_task, dense.pivot_of_task);
+  EXPECT_EQ(sparse.edge_task_edge, dense.edge_task_edge);
+  EXPECT_EQ(sparse.view.edges, dense.view.edges);
+  EXPECT_EQ(sparse.view.topo, dense.view.topo);
 }
 
 TEST(Partition, InvariantsOnRandomInstances) {
@@ -309,15 +321,8 @@ TEST(SparseGpNet, TopKAtLeastDeviceCountIsBitwiseDense) {
 
     const GpNet dense = build_gpnet(in.graph, in.network, p, feasible);
     for (const int k : {in.network.num_devices(), in.network.num_devices() + 5}) {
-      const GpNet sparse = build_gpnet_topk(in.graph, in.network, p, feasible, k, ws.est);
-      EXPECT_EQ(sparse.node_task, dense.node_task);
-      EXPECT_EQ(sparse.node_device, dense.node_device);
-      EXPECT_EQ(sparse.is_pivot, dense.is_pivot);
-      EXPECT_EQ(sparse.options, dense.options);
-      EXPECT_EQ(sparse.pivot_of_task, dense.pivot_of_task);
-      EXPECT_EQ(sparse.edge_task_edge, dense.edge_task_edge);
-      EXPECT_EQ(sparse.view.edges, dense.view.edges);
-      EXPECT_EQ(sparse.view.topo, dense.view.topo);
+      expect_gpnets_identical(
+          build_gpnet_topk(in.graph, in.network, p, feasible, k, ws.est), dense);
     }
   }
 }
@@ -384,6 +389,71 @@ TEST(SubsetEstSweep, MatchesFullSweepBitwise) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+
+// The scale tier's three invariants at full size: 5000 tasks on a sparse
+// 150-device topology (random spanning tree plus 2D chords). Too slow for
+// every test run; the nightly workflow runs it with
+// --gtest_also_run_disabled_tests --gtest_filter='*FullTier*'.
+TEST(Hierarchical, DISABLED_FullTierInvariants) {
+  const int num_tasks = 5000;
+  const int num_devices = 150;
+  std::mt19937_64 rng(20260808);
+  TaskGraphParams gp;
+  gp.num_tasks = num_tasks;
+  gp.alpha = 0.8;
+  gp.p_connect = 2.0 / num_tasks;  // sparse dataflow, not a near-clique
+  const TaskGraph g = generate_task_graph(gp, rng);
+  NetworkParams np;
+  np.num_devices = num_devices;
+  DeviceNetwork n = generate_device_network(np, rng);
+  std::vector<PhysicalLink> links;
+  std::uniform_real_distribution<double> bw(20.0, 80.0);
+  std::uniform_real_distribution<double> dl(0.1, 2.0);
+  for (int i = 1; i < num_devices; ++i) {
+    const int j = static_cast<int>(rng() % static_cast<std::uint64_t>(i));
+    links.push_back({j, i, bw(rng), dl(rng), true});
+  }
+  for (int c = 0; c < 2 * num_devices; ++c) {
+    const int a = static_cast<int>(rng() % num_devices);
+    const int b = static_cast<int>(rng() % num_devices);
+    if (a != b) links.push_back({a, b, bw(rng), dl(rng), true});
+  }
+  apply_topology(n, links);
+  ensure_feasible(g, n, rng);
+
+  // 1. Partition exactness, and determinism on a repeat run.
+  HierarchicalOptions opt;
+  opt.partition.num_clusters = num_tasks / 20;
+  opt.refine_rounds = 2;
+  const GraphPartition part = partition_tasks(g, n, opt.partition);
+  expect_valid_partition(g, part);
+  EXPECT_EQ(partition_tasks(g, n, opt.partition).cluster_of, part.cluster_of);
+
+  // 2. Sparse gpNet at k >= D is bitwise the dense one.
+  {
+    std::mt19937_64 prng(17);
+    const Placement p = random_placement(g, n, prng);
+    const auto feasible = feasible_sets(g, n);
+    EstSweepWorkspace ws;
+    est_sweep(simulate(g, n, p, kLat), g, n, p, kLat, ws);
+    expect_gpnets_identical(build_gpnet_topk(g, n, p, feasible, num_devices, ws.est),
+                            build_gpnet(g, n, p, feasible));
+  }
+
+  // 3. Refinement never worsens the expanded placement.
+  GiPHOptions aopt;
+  aopt.gpnet_topk = 8;
+  GiPHAgent agent(aopt);
+  HierarchicalPlacer placer(g, n, kLat, opt);
+  HierarchicalStats stats;
+  std::mt19937_64 place_rng(5);
+  const Placement fine = placer.place(agent, place_rng, &stats);
+  EXPECT_TRUE(is_feasible(g, n, fine));
+  EXPECT_LE(stats.refined_objective, stats.expanded_objective);
+  EXPECT_EQ(placer.objective_of(fine), stats.refined_objective);
 }
 
 }  // namespace

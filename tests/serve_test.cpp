@@ -364,53 +364,59 @@ TEST(ServeServer, PoisonRequestBecomesErrorResponseAndServingContinues) {
 
 // Overload: a stalled worker pins the pool while submits keep arriving. With
 // queue capacity Q and one request in flight, exactly Q - 1 more are admitted
-// and the rest shed — an exact, machine-independent count.
+// and the rest shed — an exact, machine-independent count. At Q = 8 and 2Q
+// submits the shed rate is 9/16 = 0.5625.
 TEST(ServeServer, OverloadShedsDeterministicallyAtCapacity) {
-  SnapshotStore store;
-  FaultInjector faults;
-  faults.hold_request("stall");
-  ServerOptions opt;
-  opt.workers = 2;  // one background worker to park on the stall
-  opt.queue_capacity = 4;
-  PlacementServer server(opt, store, faults.hooks());
   const Instance in = make_instance(11, /*tasks=*/6);
+  for (const int capacity : {4, 8}) {
+    SCOPED_TRACE("queue capacity " + std::to_string(capacity));
+    SnapshotStore store;
+    FaultInjector faults;
+    faults.hold_request("stall");
+    ServerOptions opt;
+    opt.workers = 2;  // one background worker to park on the stall
+    opt.queue_capacity = capacity;
+    PlacementServer server(opt, store, faults.hooks());
 
-  std::mutex mu;
-  std::vector<PlacementResponse> responses;
-  const auto sink = [&](const PlacementResponse& r) {
-    std::lock_guard<std::mutex> lock(mu);
-    responses.push_back(r);
-  };
+    std::mutex mu;
+    std::vector<PlacementResponse> responses;
+    const auto sink = [&](const PlacementResponse& r) {
+      std::lock_guard<std::mutex> lock(mu);
+      responses.push_back(r);
+    };
 
-  ASSERT_TRUE(server.submit(make_request(in, "stall"), sink));
-  faults.wait_for_awaiting(1);  // the worker is parked inside the stall
+    ASSERT_TRUE(server.submit(make_request(in, "stall"), sink));
+    faults.wait_for_awaiting(1);  // the worker is parked inside the stall
 
-  int admitted = 0, shed = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (server.submit(make_request(in, "q-" + std::to_string(i)), sink)) {
-      ++admitted;
-    } else {
-      ++shed;
+    const int submitted = 2 * capacity;
+    int admitted = 0, shed = 0;
+    for (int i = 0; i < submitted; ++i) {
+      if (server.submit(make_request(in, "q-" + std::to_string(i)), sink)) {
+        ++admitted;
+      } else {
+        ++shed;
+      }
     }
-  }
-  EXPECT_EQ(admitted, 3);  // capacity 4 minus the stalled in-flight request
-  EXPECT_EQ(shed, 5);
+    EXPECT_EQ(admitted, capacity - 1);  // minus the stalled in-flight request
+    EXPECT_EQ(shed, submitted - (capacity - 1));
 
-  faults.release_all();
-  server.stop_and_drain();
-  EXPECT_EQ(responses.size(), 9u);  // 4 ok + 5 shed, each delivered once
+    faults.release_all();
+    server.stop_and_drain();
+    // Every submit, admitted or shed, delivers exactly one response.
+    EXPECT_EQ(responses.size(), static_cast<std::size_t>(submitted + 1));
 
-  int ok = 0, shed_responses = 0;
-  for (const auto& r : responses) {
-    if (r.status == ResponseStatus::kOk) ++ok;
-    if (r.status == ResponseStatus::kShed) {
-      ++shed_responses;
-      EXPECT_NE(r.error.find("queue at capacity"), std::string::npos);
+    int ok = 0, shed_responses = 0;
+    for (const auto& r : responses) {
+      if (r.status == ResponseStatus::kOk) ++ok;
+      if (r.status == ResponseStatus::kShed) {
+        ++shed_responses;
+        EXPECT_NE(r.error.find("queue at capacity"), std::string::npos);
+      }
     }
+    EXPECT_EQ(ok, capacity);
+    EXPECT_EQ(shed_responses, shed);
+    EXPECT_EQ(server.stats().shed, static_cast<std::uint64_t>(shed));
   }
-  EXPECT_EQ(ok, 4);
-  EXPECT_EQ(shed_responses, 5);
-  EXPECT_EQ(server.stats().shed, 5u);
 }
 
 TEST(ServeServer, SubmitAfterDrainDeliversErrorResponse) {
