@@ -10,8 +10,10 @@ namespace {
 
 // ---- task graph generator: property sweep over the parameter grid ---------
 
+// No padding bytes: gtest names each case by the struct's raw bytes, and a
+// padding hole would put stack garbage into the test names.
 struct GenCase {
-  int num_tasks;
+  std::int64_t num_tasks;
   double alpha;
   double het;
   std::uint64_t seed;
